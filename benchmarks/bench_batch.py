@@ -119,7 +119,6 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
             "speedup_floor": QUICK_SPEEDUP_FLOOR if quick else SPEEDUP_FLOOR,
             "batch_size": int(batch_size),
             "repeats": repeats,
-            "backend": "numpy",
         },
         "host": {
             "python": platform.python_version(),
@@ -162,8 +161,6 @@ def validate_bench_payload(payload: Dict[str, object]) -> None:
             fail(f"batch.{key} must be a positive integer")
     if batch["batch_size"] < 2:
         fail("batch.batch_size must be >= 2 (otherwise nothing was batched)")
-    if not isinstance(batch.get("backend"), str) or not batch["backend"]:
-        fail("batch.backend must be a non-empty string")
 
 
 def format_report(payload: Dict[str, object]) -> str:

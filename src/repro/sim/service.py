@@ -229,8 +229,20 @@ def _encode_options(options: EngineOptions) -> Dict[str, object]:
 
 
 def _decode_options(payload: Dict[str, object]) -> EngineOptions:
+    """Inverse of :func:`_encode_options`; rejects fields this code lacks.
+
+    A manifest is outside input — possibly published by an older or newer
+    revision — so an unknown option key is a :class:`ServiceError` naming
+    the field, not a bare ``TypeError`` from the dataclass constructor.
+    """
+    known = {f.name for f in dataclasses.fields(EngineOptions)}
     kwargs: Dict[str, object] = {}
     for name, value in payload.items():
+        if name not in known:
+            raise ServiceError(
+                f"manifest option {name!r} is not an EngineOptions field; "
+                f"known fields: {sorted(known)}"
+            )
         if isinstance(value, dict) and "callable" in value:
             module_name, _, qualname = str(value["callable"]).partition(":")
             obj = importlib.import_module(module_name)
@@ -1111,8 +1123,6 @@ class AllocationService:
             if f.name in RESULT_IRRELEVANT_OPTION_FIELDS:
                 continue
             value = getattr(self.options, f.name)
-            if f.name == "backend" and value in (None, "numpy"):
-                continue
             digest.update(f"opt|{f.name}={describe_value(value)}".encode())
         digest.update(repr(self.config.imperfections()).encode())
         digest.update(fingerprint_quantized(channels, self.grid_db).encode())

@@ -1,11 +1,23 @@
 """EngineOptions: validation, resolution, legacy-dict rejection."""
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.core.clustering import CLUSTER_POLICIES
 from repro.core.mercury import mercury_allocate
 from repro.core.options import EngineOptions
+
+FIELD_NAMES = (
+    "allocator",
+    "rate_selector",
+    "max_iterations",
+    "tx_power_dbm",
+    "oracle_check",
+    "cluster_policy",
+    "cluster_threshold_db",
+)
 
 
 class TestConstruction:
@@ -23,6 +35,40 @@ class TestConstruction:
     def test_picklable_with_module_level_callables(self):
         options = EngineOptions(allocator=mercury_allocate)
         assert pickle.loads(pickle.dumps(options)) == options
+
+    def test_cluster_fields_never_become_engine_kwargs(self):
+        options = EngineOptions(
+            max_iterations=5, cluster_policy="threshold", cluster_threshold_db=-70.0
+        )
+        assert options.engine_kwargs() == {"max_iterations": 5}
+
+    def test_cluster_kwargs_hold_only_set_cluster_fields(self):
+        assert EngineOptions(max_iterations=5).cluster_kwargs() == {}
+        options = EngineOptions(cluster_policy="greedy")
+        assert options.cluster_kwargs() == {"cluster_policy": "greedy"}
+
+
+class TestFieldSet:
+    """The option surface is exactly the seven engine and cluster fields."""
+
+    def test_field_names(self):
+        assert tuple(f.name for f in dataclasses.fields(EngineOptions)) == FIELD_NAMES
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_every_field_defaults_to_none(self, name):
+        assert getattr(EngineOptions(), name) is None
+
+    def test_retired_backend_field_rejected(self):
+        with pytest.raises(TypeError, match="backend"):
+            EngineOptions(backend="numpy")
+
+    def test_replace_rejects_retired_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            EngineOptions().replace(backend="numpy")
+
+    def test_no_environment_constructor(self):
+        """Options come from arguments only; no variable is read."""
+        assert not hasattr(EngineOptions, "from_env")
 
 
 class TestValidation:
@@ -52,20 +98,36 @@ class TestValidation:
         with pytest.raises(TypeError):
             EngineOptions(tx_power_dbm="20")
 
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            EngineOptions(backend="cupy-typo")
+    def test_nan_tx_power_rejected(self):
+        with pytest.raises(ValueError):
+            EngineOptions(tx_power_dbm=float("nan"))
 
-    def test_non_str_backend_rejected(self):
+    def test_bool_tx_power_rejected(self):
         with pytest.raises(TypeError):
-            EngineOptions(backend=3)
+            EngineOptions(tx_power_dbm=True)
 
-    def test_registered_backend_accepted(self):
-        assert EngineOptions(backend="numpy").backend == "numpy"
+    @pytest.mark.parametrize("bad", [1, "yes"])
+    def test_non_bool_oracle_check_rejected(self, bad):
+        with pytest.raises(TypeError):
+            EngineOptions(oracle_check=bad)
 
-    def test_backend_never_reaches_the_serial_engine(self):
-        """``backend`` steers the dispatch substrate, not the physics."""
-        assert EngineOptions(backend="numpy").engine_kwargs() == {}
+    @pytest.mark.parametrize("policy", CLUSTER_POLICIES)
+    def test_known_cluster_policies_accepted(self, policy):
+        assert EngineOptions(cluster_policy=policy).cluster_policy == policy
+
+    def test_unknown_cluster_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown cluster policy"):
+            EngineOptions(cluster_policy="kmeans")
+
+    @pytest.mark.parametrize("bad", ["-80", True])
+    def test_non_numeric_cluster_threshold_rejected(self, bad):
+        with pytest.raises(TypeError):
+            EngineOptions(cluster_threshold_db=bad)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_cluster_threshold_rejected(self, bad):
+        with pytest.raises(ValueError):
+            EngineOptions(cluster_threshold_db=bad)
 
 
 class TestReplace:
@@ -77,26 +139,7 @@ class TestReplace:
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError):
-            EngineOptions().replace(backend="cupy-typo")
-
-
-class TestFromEnv:
-    def test_empty_environment_gives_defaults(self):
-        assert EngineOptions.from_env({}) == EngineOptions()
-
-    def test_repro_backend_selects_the_backend(self):
-        assert EngineOptions.from_env({"REPRO_BACKEND": "numpy"}).backend == "numpy"
-
-    def test_blank_value_means_unset(self):
-        assert EngineOptions.from_env({"REPRO_BACKEND": ""}).backend is None
-
-    def test_unregistered_value_fails_at_the_entry_point(self):
-        with pytest.raises(ValueError, match="registered backends"):
-            EngineOptions.from_env({"REPRO_BACKEND": "cupy-typo"})
-
-    def test_reads_the_process_environment_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert EngineOptions.from_env().backend == "numpy"
+            EngineOptions().replace(max_iterations=0)
 
 
 class TestResolve:

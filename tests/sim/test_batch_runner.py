@@ -92,11 +92,30 @@ class TestDispatch:
             raise RuntimeError("injected batching defect")
 
         monkeypatch.setattr(batch_engine, "run_batch", boom)
-        results = evaluate_batch(tasks)
+        with pytest.warns(RuntimeWarning, match="injected batching defect"):
+            results = evaluate_batch(tasks)
         reference = [evaluate_topology(task) for task in tasks]
         assert_same_records(
             [r.record for r in results], [r.record for r in reference]
         )
+
+    def test_fallback_warning_names_the_group_size(self, tasks, monkeypatch):
+        def boom(group, collector=None):
+            raise ValueError("injected batching defect")
+
+        monkeypatch.setattr(batch_engine, "run_batch", boom)
+        with pytest.warns(RuntimeWarning) as record:
+            evaluate_batch(tasks)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert f"batched dispatch of {len(tasks)} topologies failed" in message
+        assert "ValueError('injected batching defect')" in message
+
+    def test_successful_batch_does_not_warn(self, tasks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = evaluate_batch(tasks)
+        assert [r.record.index for r in results] == [task.index for task in tasks]
 
 
 class TestExperimentSurface:
@@ -109,18 +128,6 @@ class TestExperimentSurface:
         for key in batched.available_series():
             np.testing.assert_array_equal(
                 batched.series_mbps(key), legacy.series_mbps(key)
-            )
-
-    def test_backend_option_does_not_change_results(self):
-        spec = ScenarioSpec("1x1", 1, 1, include_copa_plus=False)
-        config = SimConfig(n_topologies=2)
-        default = run_experiment(spec, config, workers=1)
-        explicit = run_experiment(
-            spec, config, workers=1, options=EngineOptions(backend="numpy")
-        )
-        for key in default.available_series():
-            np.testing.assert_array_equal(
-                default.series_mbps(key), explicit.series_mbps(key)
             )
 
 

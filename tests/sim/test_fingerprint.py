@@ -18,6 +18,8 @@ import pytest
 
 import repro.sim.checkpoint as checkpoint
 import repro.sim.fingerprint as fingerprint_module
+from repro.core.mercury import mercury_allocate
+from repro.core.multi_decoder import per_subcarrier_rates
 from repro.core.options import EngineOptions
 from repro.phy.channel import ChannelSet
 from repro.sim.config import SimConfig
@@ -138,13 +140,6 @@ class TestExecutionOnlyFieldsExcluded:
         checked = dataclasses.replace(tasks[0], options=EngineOptions(oracle_check=True))
         assert fingerprint_task(checked) == fingerprint_task(tasks[0])
 
-    def test_reference_backend_option_does_not_move_the_key(self, tasks):
-        """The reference backend is bit-identical to the serial path, so
-        selecting it explicitly must hit the same cache entries as the
-        default ``backend=None``."""
-        switched = dataclasses.replace(tasks[0], options=EngineOptions(backend="numpy"))
-        assert fingerprint_task(switched) == fingerprint_task(tasks[0])
-
 
 class TestResultDeterminingFieldsIncluded:
     """Anything that changes the computed numbers must change the key."""
@@ -157,26 +152,22 @@ class TestResultDeterminingFieldsIncluded:
             {"include_copa_plus": True},
             {"options": EngineOptions(max_iterations=3)},
             {"options": EngineOptions(tx_power_dbm=10.0)},
+            {"options": EngineOptions(allocator=mercury_allocate)},
+            {"options": EngineOptions(rate_selector=per_subcarrier_rates)},
         ],
-        ids=["seed", "coherence", "plus", "max_iterations", "tx_power"],
+        ids=[
+            "seed",
+            "coherence",
+            "plus",
+            "max_iterations",
+            "tx_power",
+            "allocator",
+            "rate_selector",
+        ],
     )
     def test_field_moves_task_key(self, tasks, override):
         changed = dataclasses.replace(tasks[0], **override)
         assert fingerprint_task(changed) != fingerprint_task(tasks[0])
-
-    def test_non_reference_backend_moves_the_key(self, tasks):
-        """Regression: non-reference backends are only tolerance-equivalent
-        (1e-6 relative), not bit-identical, so their artifacts must never
-        collide with reference-backend cache entries.  An earlier revision
-        excluded ``backend`` from the fingerprint unconditionally."""
-        fused = dataclasses.replace(
-            tasks[0], options=EngineOptions(backend="numpy-fused")
-        )
-        assert fingerprint_task(fused) != fingerprint_task(tasks[0])
-        # Distinct non-reference backends get distinct keys too.
-        jax = dataclasses.replace(tasks[0], options=EngineOptions(backend="jax"))
-        assert fingerprint_task(jax) != fingerprint_task(tasks[0])
-        assert fingerprint_task(jax) != fingerprint_task(fused)
 
     def test_channel_bytes_move_the_key(self, tasks):
         channels = tasks[0].channels

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.cache import ResultCache
+from repro.core.mercury import mercury_allocate
+from repro.core.multi_decoder import per_subcarrier_rates
 from repro.core.options import EngineOptions
 from repro.obs import Collector
 from repro.sim.config import SimConfig
@@ -137,9 +139,54 @@ class TestManifest:
         with pytest.raises(ServiceError, match="schema"):
             ShardManifest.from_payload({"schema": "repro.shard/v0"})
 
-    def test_callable_options_round_trip_by_qualname(self, tmp_path):
-        from repro.core.mercury import mercury_allocate
+    def test_unknown_option_in_manifest_names_the_field(self, tmp_path):
+        """A manifest published with a retired option (``"backend"``) fails
+        at read time with a ServiceError naming the field, not a bare
+        TypeError from the options constructor."""
+        shard_dir = str(tmp_path / "shards")
+        publish_shards(shard_dir, SPEC, CONFIG)
+        path = os.path.join(shard_dir, "manifest.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["options"]["backend"] = "numpy"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ServiceError, match="'backend' is not an EngineOptions field"):
+            read_manifest(shard_dir)
 
+    def test_misspelled_option_in_manifest_names_the_field(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
+        publish_shards(shard_dir, SPEC, CONFIG, options=EngineOptions(max_iterations=4))
+        path = os.path.join(shard_dir, "manifest.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["options"]["max_iteration"] = payload["options"].pop("max_iterations")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ServiceError, match="'max_iteration' is not an EngineOptions field"):
+            read_manifest(shard_dir)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"allocator": mercury_allocate},
+            {"rate_selector": per_subcarrier_rates},
+            {"max_iterations": 4},
+            {"tx_power_dbm": 18.0},
+            {"oracle_check": True},
+            {"cluster_policy": "threshold"},
+            {"cluster_threshold_db": -70.0},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_every_option_field_round_trips(self, tmp_path, override):
+        """The manifest's field check accepts every EngineOptions field."""
+        shard_dir = str(tmp_path / "shards")
+        options = EngineOptions(**override)
+        publish_shards(shard_dir, SPEC, CONFIG, options=options)
+        assert read_manifest(shard_dir).options == options
+
+    def test_callable_options_round_trip_by_qualname(self, tmp_path):
         shard_dir = str(tmp_path / "shards")
         options = EngineOptions(allocator=mercury_allocate)
         publish_shards(shard_dir, SPEC, CONFIG, options=options)
@@ -398,6 +445,41 @@ class TestAllocationService:
             svc.query_key(channel_sets[0]) for svc in (base, plus, tuned)
         }
         assert len(keys) == 3
+
+    # Pinned service keys for ``channel_sets[0]`` at the 0.25 dB grid.
+    # Never update these without a ``SERVICE_SALT`` bump: silent drift
+    # orphans every allocation-service cache entry in the field.
+    GOLDEN_DEFAULT_KEY = "9797e3e0d1d0dafc7da69ac119a7245e7e7687168efdf5a3bcca281782dfaa2d"
+    GOLDEN_MERCURY_KEY = "e8cf29e4411ce8681fcfd3c6885b36642d6cabc23913eb03fa6e2a8c4ce051e5"
+    # The same two keys at the 1.0 dB grid.
+    GOLDEN_DEFAULT_KEY_1DB = "928392588b63fa2a4a5e7e0d99ebb7b2db47c5a74d733c9b191ab804bd311f32"
+    GOLDEN_MERCURY_KEY_1DB = "585973e5c2b3326c96bc6db04667bac711d26fdb6c47eb72d8853c6fabc72e79"
+
+    def test_golden_default_options_key(self, cache, channel_sets):
+        svc = AllocationService(cache, grid_db=0.25, config=CONFIG)
+        assert svc.query_key(channel_sets[0]) == self.GOLDEN_DEFAULT_KEY
+
+    def test_golden_copa_plus_options_key(self, cache, channel_sets):
+        svc = AllocationService(
+            cache,
+            grid_db=0.25,
+            config=CONFIG,
+            options=EngineOptions(allocator=mercury_allocate),
+        )
+        assert svc.query_key(channel_sets[0]) == self.GOLDEN_MERCURY_KEY
+
+    def test_golden_default_options_key_one_db(self, cache, channel_sets):
+        svc = AllocationService(cache, grid_db=1.0, config=CONFIG)
+        assert svc.query_key(channel_sets[0]) == self.GOLDEN_DEFAULT_KEY_1DB
+
+    def test_golden_copa_plus_options_key_one_db(self, cache, channel_sets):
+        svc = AllocationService(
+            cache,
+            grid_db=1.0,
+            config=CONFIG,
+            options=EngineOptions(allocator=mercury_allocate),
+        )
+        assert svc.query_key(channel_sets[0]) == self.GOLDEN_MERCURY_KEY_1DB
 
     def test_counters_and_span_names(self, cache, channel_sets):
         col = Collector()

@@ -44,6 +44,17 @@ class TestCommittedBaseline:
         assert baseline_payload["quick"] is False
         assert baseline_payload["batch"]["speedup"] >= bench.SPEEDUP_FLOOR
 
+    def test_batch_section_fields(self, baseline_payload):
+        """One batched NumPy path: the payload names no array backend."""
+        assert set(baseline_payload["batch"]) == {
+            "batch_size",
+            "batched_s",
+            "legacy_s",
+            "repeats",
+            "speedup",
+            "speedup_floor",
+        }
+
     def test_report_formats(self, bench, baseline_payload):
         report = bench.format_report(baseline_payload)
         assert "end-to-end speedup" in report
@@ -59,7 +70,6 @@ class TestSchemaValidation:
             lambda p: p.pop("batch"),
             lambda p: p["batch"].__setitem__("speedup", -1),
             lambda p: p["batch"].__setitem__("batch_size", 1),
-            lambda p: p["batch"].__setitem__("backend", ""),
             lambda p: p["batch"].__setitem__("legacy_s", "slow"),
             lambda p: p["workload"].__setitem__("series", []),
             lambda p: p["workload"].pop("include_copa_plus"),
@@ -70,7 +80,6 @@ class TestSchemaValidation:
             "missing_batch",
             "negative_speedup",
             "unbatched_batch_size",
-            "empty_backend",
             "non_numeric_time",
             "empty_series",
             "missing_plus_flag",

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _engine_options, build_parser, main
+from repro.core.options import EngineOptions
+
+# Every command that builds EngineOptions from its arguments.
+OPTION_COMMANDS = {
+    "run": ["run", "1x1"],
+    "report": ["report", "1x1"],
+    "service_publish": ["service", "publish", "1x1", "--shard-dir", "shards"],
+    "service_query": ["service", "query", "1x1"],
+}
 
 
 class TestParser:
@@ -91,6 +100,31 @@ class TestArgumentValidation:
         assert args.task_timeout is None
         assert args.checkpoint is None
         assert args.resume is False
+
+
+class TestEngineOptionFlags:
+    """The CLI builds EngineOptions from its cluster flags and nothing else."""
+
+    @pytest.mark.parametrize("argv", OPTION_COMMANDS.values(), ids=OPTION_COMMANDS.keys())
+    def test_backend_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", OPTION_COMMANDS.values(), ids=OPTION_COMMANDS.keys())
+    def test_environment_does_not_set_options(self, argv, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy-fused")
+        assert _engine_options(build_parser().parse_args(argv)) == EngineOptions()
+
+    def test_cluster_flags_become_options(self):
+        args = build_parser().parse_args(
+            ["run", "4x2", "--n-aps", "4", "--cluster-policy", "threshold",
+             "--cluster-threshold", "-68"]
+        )
+        assert _engine_options(args) == EngineOptions(
+            cluster_policy="threshold", cluster_threshold_db=-68.0
+        )
 
 
 class TestFaultTolerance:
