@@ -15,8 +15,11 @@ soaks up once its constellation is nearly saturated.
 The paper uses iterated mercury/water-filling (plus explicit subcarrier
 selection) as the impractical-but-better "COPA+" upper bound (§3.3, §4);
 it reports 30–50 s of compute per allocation on their platform, which is
-why COPA+ is evaluated in trace-driven emulation only.  Our NumPy
-implementation is fast enough to run everywhere.
+why COPA+ is evaluated in trace-driven emulation only.  Ours takes
+milliseconds per allocation, yet it still dominates any run with COPA+
+enabled; :func:`mercury_allocate_batch` therefore solves the whole
+(drop count × constellation × row) grid in one stacked bisection and
+skips the candidates whose budget provably saturates the constellation.
 
 MMSE functions are computed numerically by Gauss–Hermite quadrature on the
 per-dimension PAM decomposition of square QAM, then cached as monotone
@@ -26,7 +29,7 @@ interpolation tables.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,71 +236,179 @@ def mercury_waterfilling(
     return powers * scale
 
 
+@lru_cache(maxsize=None)
+def _saturation_snr(bits_per_symbol: int) -> float:
+    """An upper bound on :func:`mmse_inverse` over every positive target.
+
+    The smallest grid SNR whose tabulated MMSE is exactly zero (the top of
+    the grid when no entry is): the interpolant is non-increasing, so a
+    positive target never maps above it.
+    """
+    grid, values = mmse_curve(bits_per_symbol)
+    zero = np.flatnonzero(values == 0.0)
+    return float(grid[zero[0]] if zero.size else grid[-1])
+
+
+def _certified_saturated(gains, starts, codes, total_power: float) -> np.ndarray:
+    """Rows that provably fail all 60 bracket-expansion tries.
+
+    Row ``r`` keeps ``gains[r, starts[r]:]`` (all positive) and uses the
+    constellation with ``codes[r]`` bits per symbol, whose
+    :func:`mmse_inverse` never exceeds ``s_z`` (:func:`_saturation_snr`).
+    Every power the serial ``powers_for`` produces is then at most
+    ``fl(s_z / g_k)`` (zero or a quotient with a smaller numerator), and
+    float addition is monotone, so the kept sum of those quotients — in
+    the serial summation layout — bounds every total the expansion loop
+    can see.  A row whose bound is below the budget never brackets.
+    """
+    bound = np.array([_saturation_snr(int(code)) for code in codes])
+    ceiling = np.empty(len(gains))
+    for start in np.unique(starts):
+        rows = np.flatnonzero(starts == start)
+        ceiling[rows] = (bound[rows, None] / gains[rows, start:]).sum(axis=1)
+    return ceiling < total_power
+
+
+class _Rows:
+    """A gathered subset of the rows :func:`mercury_waterfilling_batch` solves.
+
+    Holds each row's gains, its kept columns (``start`` onwards), the
+    rows grouped by start — a row's total sums exactly its kept slice, so
+    the pairwise-summation grouping matches the serial sum over the kept
+    subcarriers — and the contiguous runs of rows sharing a constellation,
+    so each run costs one ``np.interp``.
+    """
+
+    def __init__(self, index, gains, starts, codes, modulation_of):
+        self.index = index
+        # ``index`` is sorted, so at full size it is every row: no copy.
+        self.gains = gains if index.size == gains.shape[0] else gains[index]
+        starts = starts[index]
+        self.kept = np.arange(gains.shape[1]) >= starts[:, None]
+        self.by_start = [(s, np.flatnonzero(starts == s)) for s in np.unique(starts)]
+        codes = codes[index]
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1, [index.size]])
+        self.runs = [
+            (modulation_of[codes[a]], slice(a, b)) for a, b in zip(edges[:-1], edges[1:]) if b > a
+        ]
+
+    def powers(self, eta: np.ndarray) -> np.ndarray:
+        """The serial ``powers_for(eta)`` of every row, zero outside the kept columns."""
+        powers = np.zeros_like(self.gains)
+        active = self.kept & (self.gains > eta[:, None])
+        with np.errstate(over="ignore"):
+            for modulation, rows in self.runs:
+                mask = active[rows]
+                gains = self.gains[rows][mask]
+                ratio = np.broadcast_to(eta[rows, None], mask.shape)[mask] / gains
+                powers[rows][mask] = mmse_inverse(ratio, modulation) / gains
+        return powers
+
+    def totals(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum over its kept columns, laid out as the serial sum."""
+        out = np.empty(self.index.size)
+        for start, rows in self.by_start:
+            out[rows] = values[rows, start:].sum(axis=1)
+        return out
+
+
 def mercury_waterfilling_batch(
     gains,
     total_power: float,
-    modulation: Modulation,
+    modulation: Union[Modulation, Sequence[Modulation]],
     tolerance: float = 1e-9,
     max_bisections: int = 80,
+    starts=None,
 ) -> np.ndarray:
     """Row-batched :func:`mercury_waterfilling`, bit-identical per row.
 
-    ``gains`` has shape (n_rows, n_sc) and must be strictly positive
-    (the batched caller routes rows with non-positive gains to the serial
-    path).  Every row follows exactly the serial water-level trajectory:
-    the same bracket expansion, the same per-row bisection sequence (rows
-    that converge freeze their bracket while the rest keep bisecting) and
-    the same final proportional rescale — so the returned powers match
-    the serial call row for row.
+    ``gains`` has shape (n_rows, n_sc).  Row ``r`` allocates over the
+    columns ``gains[r, starts[r]:]`` (every column when ``starts`` is
+    omitted), which must be strictly positive; the columns before its
+    start get zero power.  ``modulation`` is one constellation for every
+    row or a sequence with one per row; rows sharing a constellation are
+    cheapest when contiguous.  Each row returns exactly what the serial
+    call on its kept columns returns.
+
+    Every row follows the serial water-level trajectory: the same bracket
+    expansion, the same bisection sequence and the same final
+    proportional rescale.  A row whose budget exceeds what the
+    constellation can absorb even at "infinite water" — the certificate
+    ``Σ_k s_z / g_k < total_power``, with ``s_z`` bounding
+    :func:`mmse_inverse` — fails all 60 expansion tries by monotonicity
+    of the float sums, so it skips them and takes the same final water
+    level directly.  Rows that settle leave the working set, which is
+    gathered again once it has shrunk by a fifth.
     """
     gains = np.asarray(gains, dtype=float)
     if total_power <= 0:
         raise ValueError("total_power must be positive")
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
-    if not np.all(gains > 0):
-        raise ValueError("batched mercury/water-filling requires strictly positive gains")
-    n_rows = gains.shape[0]
+    n_rows, n = gains.shape
+    starts = np.zeros(n_rows, dtype=np.intp) if starts is None else np.asarray(starts, np.intp)
+    if starts.shape != (n_rows,) or np.any((starts < 0) | (starts >= n)):
+        raise ValueError("starts must hold one column index in [0, n_sc) per row")
+    if isinstance(modulation, Modulation):
+        modulation = [modulation] * n_rows
+    elif len(modulation) != n_rows:
+        raise ValueError("modulation must be one constellation or one per row")
+    codes = np.array([m.bits_per_symbol for m in modulation], dtype=int)
+    modulation_of = {m.bits_per_symbol: m for m in modulation}
 
-    def powers_for(eta: np.ndarray) -> np.ndarray:
-        active = gains > eta[:, None]
-        with np.errstate(over="ignore"):
-            ratio = np.where(active, eta[:, None] / gains, 0.0)
-            return np.where(active, mmse_inverse(ratio, modulation) / gains, 0.0)
+    def gather(index):
+        return _Rows(index, gains, starts, codes, modulation_of)
+
+    everything = gather(np.arange(n_rows))
+    if not np.all(gains[everything.kept] > 0):
+        raise ValueError("mercury/water-filling requires strictly positive kept gains")
 
     # Total power decreases monotonically in eta; bisect in log space.
-    eta_high = gains.max(axis=1)
+    eta_high = np.max(gains, axis=1, where=everything.kept, initial=-np.inf)
     eta_low = eta_high * 1e-12
+
+    saturated = _certified_saturated(gains, starts, codes, total_power)
+
     # Expand each row's lower bracket until it yields the requested power;
     # rows exhausting the 60 tries are MMSE-saturated and skip bisection
     # (their proportional rescale below matches the serial fallback).
     bracketed = np.zeros(n_rows, dtype=bool)
+    work = gather(np.flatnonzero(~saturated))
+    pending = np.ones(work.index.size, dtype=bool)
     for _ in range(60):
-        pending = ~bracketed
-        bracketed |= pending & (powers_for(eta_low).sum(axis=1) >= total_power)
-        pending = ~bracketed
         if not pending.any():
             break
-        eta_low = np.where(pending, eta_low / 1e3, eta_low)
+        totals = work.totals(work.powers(eta_low[work.index]))
+        hit = pending & (totals >= total_power)
+        bracketed[work.index[hit]] = True
+        pending &= ~hit
+        eta_low[work.index[pending]] /= 1e3
+        if pending.sum() < 0.8 * pending.size:
+            work, pending = gather(work.index[pending]), np.ones(pending.sum(), dtype=bool)
+    certified = np.flatnonzero(saturated)
+    for _ in range(60):
+        eta_low[certified] /= 1e3
 
-    settled = ~bracketed
+    work = gather(np.flatnonzero(bracketed))
+    live = np.ones(work.index.size, dtype=bool)
     for _ in range(max_bisections):
-        active_rows = ~settled
-        if not active_rows.any():
+        if not live.any():
             break
-        eta_mid = np.sqrt(eta_low * eta_high)
-        totals = powers_for(eta_mid).sum(axis=1)
-        converged = active_rows & (np.abs(totals - total_power) <= tolerance * total_power)
-        eta_low = np.where(converged, eta_mid, eta_low)
-        settled |= converged
-        active_rows &= ~converged
-        go_up = active_rows & (totals > total_power)
-        eta_low = np.where(go_up, eta_mid, eta_low)
-        eta_high = np.where(active_rows & ~go_up, eta_mid, eta_high)
+        eta_mid = np.sqrt(eta_low[work.index] * eta_high[work.index])
+        totals = work.totals(work.powers(eta_mid))
+        converged = live & (np.abs(totals - total_power) <= tolerance * total_power)
+        live &= ~converged
+        go_up = live & (totals > total_power)
+        rise = converged | go_up
+        eta_low[work.index[rise]] = eta_mid[rise]
+        fall = live & ~go_up
+        eta_high[work.index[fall]] = eta_mid[fall]
+        if live.sum() < 0.8 * live.size:
+            work, live = gather(work.index[live]), np.ones(live.sum(), dtype=bool)
 
-    powers = powers_for(eta_low)
-    scale = total_power / np.maximum(powers.sum(axis=1), 1e-300)
-    return powers * scale[:, None]
+    powers = everything.powers(eta_low)
+    powers *= (total_power / np.maximum(everything.totals(powers), 1e-300))[:, None]
+    return powers
 
 
 #: Default drop-count candidates for the subcarrier-selection loop.  The
@@ -307,7 +418,6 @@ def mercury_waterfilling_batch(
 #: the optimization oracle (:mod:`repro.core.oracle`) sweeps the same grid
 #: with an independent inner solver.
 DEFAULT_DROPS: Tuple[int, ...] = (0, 1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 26, 32, 40)
-_DEFAULT_DROPS = DEFAULT_DROPS  # back-compat alias
 
 
 def mercury_allocate(
@@ -327,7 +437,7 @@ def mercury_allocate(
     gains = np.asarray(gains, dtype=float)
     n = gains.size
     order = np.argsort(gains)
-    drops = _DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
+    drops = DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
 
     best_goodput = 0.0
     best_powers = np.zeros(n)
@@ -375,65 +485,77 @@ def mercury_allocate_batch(
 ) -> BatchAllocation:
     """Row-batched :func:`mercury_allocate`, bit-identical per row.
 
-    ``gains`` has shape (n_rows, n_sc).  Rows with strictly positive
-    gains — the overwhelmingly common case, since the engine feeds
-    matched-filter gains over noise — share one vectorized sweep of the
-    (drop count × constellation) grid; any row with a non-positive gain
-    falls back to the serial :func:`mercury_allocate` (its kept-subcarrier
-    filter makes the batch ragged), so results match in every case.
+    ``gains`` has shape (n_rows, n_sc) and may hold non-positive entries.
+    Each row's gains are sorted once; a (constellation, drop, row)
+    candidate keeps the sorted columns from ``max(drop, number of
+    non-positive gains)`` on, which is exactly the serial kept set.  The
+    whole candidate grid, constellation-major, goes through one
+    :func:`mercury_waterfilling_batch` call; each constellation's
+    candidates are then rated by one :func:`best_rate_batch` call in the
+    original subcarrier order (the decoder's BER mean is order-sensitive),
+    and each row keeps its first best candidate in the serial
+    drop-major, constellation-minor scan order.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2:
         raise ValueError("gains must have shape (n_rows, n_subcarriers)")
     n_rows, n = gains.shape
-    drops = _DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
+    drops = DEFAULT_DROPS if drop_candidates is None else tuple(drop_candidates)
+    drops = np.array([drop for drop in drops if drop < n], dtype=np.intp)
 
-    best_goodput = np.zeros(n_rows)
-    best_powers = np.zeros((n_rows, n))
-    best_used = np.zeros((n_rows, n), dtype=bool)
-    best_mcs_index = np.full(n_rows, -1)
-
-    batchable = np.all(gains > 0, axis=1)
-    rows = np.nonzero(batchable)[0]
-    if rows.size:
-        sub = gains[rows]
-        order = np.argsort(sub, axis=1)
-        for drop in drops:
-            if drop >= n:
-                continue
-            kept = order[:, drop:]
-            sub_gains = np.take_along_axis(sub, kept, axis=1)
-            for modulation in modulations:
-                powers_kept = mercury_waterfilling_batch(sub_gains, total_power, modulation)
-                sinr = np.zeros((rows.size, n))
-                np.put_along_axis(sinr, kept, powers_kept * sub_gains, axis=1)
-                used = np.zeros((rows.size, n), dtype=bool)
-                np.put_along_axis(used, kept, powers_kept > 0, axis=1)
-                table = [m for m in MCS_TABLE if m.modulation == modulation]
-                selection = best_rate_batch(sinr, used=used, mcs_table=table)
-                improved = used.any(axis=1) & (selection.goodput_bps > best_goodput[rows])
-                if not improved.any():
-                    continue
-                powers_full = np.zeros((rows.size, n))
-                np.put_along_axis(powers_full, kept, powers_kept, axis=1)
-                take = np.zeros(n_rows, dtype=bool)
-                take[rows] = improved
-                best_goodput[take] = selection.goodput_bps[improved]
-                best_powers[take] = powers_full[improved]
-                best_used[take] = used[improved]
-                best_mcs_index[take] = selection.mcs_index[improved]
-
-    for b in np.nonzero(~batchable)[0]:
-        serial = mercury_allocate(gains[b], total_power, drop_candidates, modulations)
-        best_goodput[b] = serial.goodput_bps
-        best_powers[b] = serial.powers
-        best_used[b] = serial.used
-        best_mcs_index[b] = -1 if serial.mcs is None else serial.mcs.index
-
-    return BatchAllocation(
-        powers=best_powers,
-        used=best_used,
+    best = BatchAllocation(
+        powers=np.zeros((n_rows, n)),
+        used=np.zeros((n_rows, n), dtype=bool),
         equalized_snr=np.zeros(n_rows),
-        mcs_index=best_mcs_index,
-        goodput_bps=best_goodput,
+        mcs_index=np.full(n_rows, -1),
+        goodput_bps=np.zeros(n_rows),
     )
+
+    order = np.argsort(gains, axis=1)
+    sorted_gains = np.take_along_axis(gains, order, axis=1)
+    starts = np.maximum(drops[:, None], (gains <= 0).sum(axis=1))
+    # The candidates of one constellation, drop-major: (drop, row) pairs.
+    cand_drop, cand_row = np.nonzero(starts < n)
+    n_cand, n_mod = cand_row.size, len(modulations)
+    if n_cand == 0 or n_mod == 0:
+        return best
+
+    cand_gains = sorted_gains[cand_row]
+    cand_order = order[cand_row]
+    powers = mercury_waterfilling_batch(
+        np.tile(cand_gains, (n_mod, 1)),
+        total_power,
+        [modulation for modulation in modulations for _ in range(n_cand)],
+        starts=np.tile(starts[cand_drop, cand_row], n_mod),
+    ).reshape(n_mod, n_cand, n)
+
+    # Scores in the serial scan order (drop-major, constellation-minor);
+    # ineligible candidates (nothing used, or zero goodput) score -inf.
+    score = np.full((drops.size, n_mod, n_rows), -np.inf)
+    mcs_index = np.full((drops.size, n_mod, n_rows), -1)
+    for i, modulation in enumerate(modulations):
+        used = powers[i] > 0
+        sinr = np.zeros((n_cand, n))
+        np.put_along_axis(sinr, cand_order, np.where(used, powers[i] * cand_gains, 0.0), axis=1)
+        used_full = np.zeros((n_cand, n), dtype=bool)
+        np.put_along_axis(used_full, cand_order, used, axis=1)
+        table = [mcs for mcs in MCS_TABLE if mcs.modulation == modulation]
+        selection = best_rate_batch(sinr, used=used_full, mcs_table=table)
+        eligible = used.any(axis=1) & (selection.goodput_bps > 0)
+        score[cand_drop, i, cand_row] = np.where(eligible, selection.goodput_bps, -np.inf)
+        mcs_index[cand_drop, i, cand_row] = selection.mcs_index
+
+    score = score.reshape(-1, n_rows)
+    winner = score.argmax(axis=0)
+    rows = np.flatnonzero(score[winner, np.arange(n_rows)] > -np.inf)
+    drop_of, modulation_of = np.divmod(winner[rows], n_mod)
+    candidate_of = np.full((drops.size, n_rows), -1)
+    candidate_of[cand_drop, cand_row] = np.arange(n_cand)
+    chosen = powers[modulation_of, candidate_of[drop_of, rows]]
+    chosen_powers = np.zeros((rows.size, n))
+    np.put_along_axis(chosen_powers, order[rows], chosen, axis=1)
+    best.powers[rows] = chosen_powers
+    best.used[rows] = chosen_powers > 0
+    best.goodput_bps[rows] = score[winner[rows], rows]
+    best.mcs_index[rows] = mcs_index[drop_of, modulation_of, rows]
+    return best
